@@ -12,7 +12,7 @@
 
 use crate::spec::JobSpec;
 use serde::{Deserialize, Serialize};
-use std::io::{self, BufRead, Write};
+use std::io::{self, BufRead, Read, Write};
 
 /// What a client can ask.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -118,34 +118,46 @@ pub fn write_line<T: Serialize>(w: &mut impl Write, msg: &T) -> io::Result<()> {
     w.flush()
 }
 
+/// Longest request line the daemon reads, newline included. Requests are
+/// small specs; the cap bounds what one client can make the daemon buffer.
+/// Responses are not capped: `ArtifactDone` lines carry whole tables.
+pub const MAX_REQUEST_LINE: usize = 1 << 20;
+
 /// Read the next non-empty line and parse it as a [`Request`]. `None` on
-/// clean EOF; an error names the offending line.
+/// clean EOF; an `InvalidData` error names the offending line, or says
+/// that it ran past [`MAX_REQUEST_LINE`] bytes.
 pub fn read_request(r: &mut impl BufRead) -> io::Result<Option<Request>> {
-    read_parsed(r)
+    read_parsed(r, MAX_REQUEST_LINE)
 }
 
 /// Read the next non-empty line and parse it as a [`Response`]. `None`
 /// on clean EOF.
 pub fn read_response(r: &mut impl BufRead) -> io::Result<Option<Response>> {
-    read_parsed(r)
+    read_parsed(r, usize::MAX)
 }
 
-fn read_parsed<T: Deserialize>(r: &mut impl BufRead) -> io::Result<Option<T>> {
+fn read_parsed<T: Deserialize>(r: &mut impl BufRead, max_line: usize) -> io::Result<Option<T>> {
+    let invalid = |msg: String| io::Error::new(io::ErrorKind::InvalidData, msg);
+    // One byte past the cap tells a line that fits from one that does not.
+    let limit = u64::try_from(max_line).map_or(u64::MAX, |n| n.saturating_add(1));
     loop {
-        let mut line = String::new();
-        if r.read_line(&mut line)? == 0 {
+        let mut bytes = Vec::new();
+        if r.take(limit).read_until(b'\n', &mut bytes)? == 0 {
             return Ok(None);
         }
+        if bytes.len() > max_line {
+            return Err(invalid(format!(
+                "protocol line longer than {max_line} bytes"
+            )));
+        }
+        let line = String::from_utf8(bytes).map_err(|e| invalid(e.to_string()))?;
         let trimmed = line.trim();
         if trimmed.is_empty() {
             continue;
         }
-        return serde_json::from_str(trimmed).map(Some).map_err(|e| {
-            io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!("bad protocol line '{trimmed}': {e}"),
-            )
-        });
+        return serde_json::from_str(trimmed)
+            .map(Some)
+            .map_err(|e| invalid(format!("bad protocol line '{trimmed}': {e}")));
     }
 }
 
@@ -231,6 +243,16 @@ mod tests {
         assert_eq!(read_request(&mut r).unwrap(), Some(Request::Stats));
         let err = read_request(&mut r).unwrap_err();
         assert!(err.to_string().contains("not json"), "{err}");
+    }
+
+    #[test]
+    fn only_request_lines_are_capped() {
+        let padding = " ".repeat(MAX_REQUEST_LINE);
+        let mut r = std::io::Cursor::new(format!("{padding}\"Stats\"\n").into_bytes());
+        let err = read_request(&mut r).unwrap_err();
+        assert!(err.to_string().contains("longer than"), "{err}");
+        let mut r = std::io::Cursor::new(format!("{padding}\"ShuttingDown\"\n").into_bytes());
+        assert_eq!(read_response(&mut r).unwrap(), Some(Response::ShuttingDown));
     }
 
     #[test]

@@ -301,7 +301,22 @@ impl Server {
     /// pairs (or anything `Read + Write`).
     pub fn handle_conn<R: Read, W: Write>(&self, reader: R, mut writer: W) -> io::Result<()> {
         let mut reader = BufReader::new(reader);
-        while let Some(request) = read_request(&mut reader)? {
+        loop {
+            let request = match read_request(&mut reader) {
+                Ok(Some(request)) => request,
+                Ok(None) => return Ok(()),
+                // A line that is no request (malformed, or past the length
+                // cap, which is not read further) is refused for good and
+                // ends the connection.
+                Err(e) if e.kind() == io::ErrorKind::InvalidData => {
+                    let reply = Response::Rejected {
+                        reason: e.to_string(),
+                        retry_after_ms: 0,
+                    };
+                    return write_line(&mut writer, &reply);
+                }
+                Err(e) => return Err(e),
+            };
             match request {
                 Request::Submit { spec } => {
                     let reply = match spec.validate() {
@@ -362,7 +377,6 @@ impl Server {
                 }
             }
         }
-        Ok(())
     }
 
     fn submit(&self, spec: &JobSpec) -> Response {

@@ -3,12 +3,13 @@
 //! only the accept loop is skipped.
 
 use csmt_experiments::client::{run_on, ClientConfig, Outcome};
-use csmt_experiments::proto::{read_response, write_line, Request, Response};
+use csmt_experiments::proto::{read_response, write_line, Request, Response, MAX_REQUEST_LINE};
 use csmt_experiments::runner::ExpOptions;
 use csmt_experiments::spec::JobSpec;
 use csmt_experiments::{figures, Sweeps};
 use csmt_serve::{EngineConfig, Server, ServerConfig};
-use std::io::BufReader;
+use std::io::{BufReader, Write};
+use std::net::Shutdown;
 use std::os::unix::net::UnixStream;
 use std::path::{Path, PathBuf};
 
@@ -402,4 +403,41 @@ fn shutdown_drains_and_stops() {
             ..
         }
     ));
+}
+
+#[test]
+fn hostile_request_lines_are_refused_and_the_daemon_stays_up() {
+    let dir = tmp("hostile");
+    let srv = server(&dir, 8, 1);
+    let refused = |reader: &mut BufReader<UnixStream>| {
+        matches!(
+            read_response(reader),
+            Ok(Some(Response::Rejected {
+                retry_after_ms: 0,
+                ..
+            }))
+        )
+    };
+
+    // Nesting deep enough to overflow a connection thread's stack if the
+    // parser recursed without a limit.
+    let (mut reader, mut writer) = connect(&srv);
+    let deep = format!("{}\n", "[".repeat(100_000));
+    writer.write_all(deep.as_bytes()).expect("send deep line");
+    assert!(refused(&mut reader), "deep nesting must be refused");
+
+    // A line past the cap with no newline: the daemon stops reading at
+    // the cap and closes, so this write may fail part way.
+    let (mut reader, mut writer) = connect(&srv);
+    let _ = writer.write_all(&vec![b' '; MAX_REQUEST_LINE + 4096]);
+    let _ = writer.shutdown(Shutdown::Write);
+    assert!(refused(&mut reader), "oversized line must be refused");
+
+    // The daemon is still up: a well-behaved client gets the batch
+    // CLI's bytes.
+    let opts = tiny_opts();
+    let artifacts = ["detail:DH/ilp.2.1"];
+    let (outcome, stdout) = run_client(&srv, &cfg(spec(&artifacts, &opts)));
+    assert_eq!(outcome, Outcome::Done);
+    assert_eq!(stdout, batch_reference(&artifacts, &opts));
 }
