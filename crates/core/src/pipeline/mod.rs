@@ -550,10 +550,14 @@ pub(crate) struct L2Miss {
 /// (batched sweeps, where all config points sharing a trace pair reuse
 /// one decoded stream). Both yield the identical stream — it is a pure
 /// function of `(profile, seed)`.
+///
+/// `Live` is stored inline, not boxed: the generator keeps its program
+/// behind an `Arc`, so the variant is a few hundred bytes of walk state,
+/// and inline storage keeps fetch at one pointer chase per uop to reach
+/// the program.
+#[allow(clippy::large_enum_variant)]
 pub(crate) enum TraceSource {
-    /// Boxed: the generator carries the full synthesized program and
-    /// would dominate the variant size otherwise.
-    Live(Box<ThreadTrace>),
+    Live(ThreadTrace),
     Shared(StreamReader),
 }
 
@@ -566,20 +570,15 @@ impl TraceSource {
         }
     }
 
-    /// Advance `n` uops without delivering them (checkpoint restore).
-    /// A live generator replays forward; a shared-stream reader seeks,
-    /// so repeated restores of the same stream generate the prefix once.
-    pub fn skip(&mut self, n: u64) {
+    /// Move to absolute stream position `pos` (checkpoint restore): the
+    /// next uop delivered is the stream's `pos`-th. A live generator
+    /// replays the gap (a cursor restored from a forward-walked clone is
+    /// already there); a shared-stream reader seeks, generating the
+    /// prefix once per stream.
+    pub fn seek_to(&mut self, pos: u64) {
         match self {
-            TraceSource::Live(t) => {
-                for _ in 0..n {
-                    t.next_uop();
-                }
-            }
-            TraceSource::Shared(r) => {
-                let pos = r.emitted() + n;
-                r.seek(pos);
-            }
+            TraceSource::Live(t) => t.seek_to(pos),
+            TraceSource::Shared(r) => r.seek(pos),
         }
     }
 
@@ -721,12 +720,7 @@ impl Simulator {
     ) -> Self {
         let sources = traces
             .iter()
-            .map(|spec| {
-                TraceSource::Live(Box::new(ThreadTrace::from_profile(
-                    &spec.profile,
-                    spec.seed,
-                )))
-            })
+            .map(|spec| TraceSource::Live(ThreadTrace::from_profile(&spec.profile, spec.seed)))
             .collect();
         Self::build(cfg, iq_kind, rf_kind, traces, sources)
     }
@@ -770,15 +764,18 @@ impl Simulator {
     }
 
     /// Resume detailed simulation from an architectural [`Checkpoint`]:
-    /// verify its integrity, build a fresh machine for its specs, skip
+    /// verify its integrity, build a fresh machine for its specs, move
     /// each thread's trace source to the checkpointed commit offset and
     /// pre-warm the memory hierarchy with the recorded footprint. The
     /// resumed machine is bit-exact: two simulators restored from equal
     /// checkpoints execute identically. Relative to a detailed run from
     /// zero the commit stream is architecturally identical past the
-    /// offset (enforce with [`Simulator::enable_oracle`], which arms the
-    /// replay at the offset); microarchitectural warm state is
-    /// reconstructed by running a warm-up window before measuring.
+    /// offset (enforce with [`Simulator::enable_oracle`], which arms an
+    /// independent replay at the offset); microarchitectural warm state
+    /// is reconstructed by running a warm-up window before measuring.
+    ///
+    /// This is [`Simulator::from_checkpoint_cursors`] over fresh cursors,
+    /// so each call replays every trace from uop 0.
     pub fn from_checkpoint(
         cfg: MachineConfig,
         iq_kind: SchemeKind,
@@ -786,10 +783,72 @@ impl Simulator {
         ckpt: &crate::checkpoint::Checkpoint,
     ) -> Result<Self, String> {
         ckpt.verify()?;
-        let specs = ckpt.specs();
-        let mut sim = Self::new(cfg, iq_kind, rf_kind, &specs);
+        let mut cursors: Vec<ThreadTrace> = ckpt
+            .threads
+            .iter()
+            .map(|t| ThreadTrace::from_profile(&t.spec.profile, t.spec.seed))
+            .collect();
+        Ok(Self::restore_verified(
+            cfg,
+            iq_kind,
+            rf_kind,
+            ckpt,
+            &mut cursors,
+        ))
+    }
+
+    /// [`Simulator::from_checkpoint`] over caller-held generator cursors,
+    /// one per checkpointed thread. Each cursor is moved to its thread's
+    /// offset and the machine is built from clones, so the cursors stay
+    /// at the offset for the next restore: restoring a run's checkpoints
+    /// in offset order generates each trace's prefix once in total, not
+    /// once per checkpoint. A cursor already past its offset restarts
+    /// from uop 0, so any call order restores correctly. A cursor that
+    /// generates a different trace than the checkpoint names is an `Err`.
+    pub fn from_checkpoint_cursors(
+        cfg: MachineConfig,
+        iq_kind: SchemeKind,
+        rf_kind: RegFileSchemeKind,
+        ckpt: &crate::checkpoint::Checkpoint,
+        cursors: &mut [ThreadTrace],
+    ) -> Result<Self, String> {
+        ckpt.verify()?;
+        if cursors.len() != ckpt.threads.len() {
+            return Err(format!(
+                "{} trace cursors for a {}-thread checkpoint",
+                cursors.len(),
+                ckpt.threads.len()
+            ));
+        }
+        if let Some(i) = (0..cursors.len()).find(|&i| !cursors[i].matches(&ckpt.threads[i].spec)) {
+            return Err(format!(
+                "trace cursor {i} does not generate the checkpoint's trace {}",
+                ckpt.threads[i].spec.profile.name
+            ));
+        }
+        Ok(Self::restore_verified(cfg, iq_kind, rf_kind, ckpt, cursors))
+    }
+
+    /// The one live-generator restore path, for a verified checkpoint and
+    /// cursors that match its specs.
+    fn restore_verified(
+        cfg: MachineConfig,
+        iq_kind: SchemeKind,
+        rf_kind: RegFileSchemeKind,
+        ckpt: &crate::checkpoint::Checkpoint,
+        cursors: &mut [ThreadTrace],
+    ) -> Self {
+        let sources = cursors
+            .iter_mut()
+            .zip(&ckpt.threads)
+            .map(|(c, t)| {
+                c.seek_to(t.offset);
+                TraceSource::Live(c.clone())
+            })
+            .collect();
+        let mut sim = Self::build(cfg, iq_kind, rf_kind, &ckpt.specs(), sources);
         sim.resume_from(ckpt);
-        Ok(sim)
+        sim
     }
 
     /// [`Simulator::from_checkpoint`] over pre-decoded shared streams
@@ -817,7 +876,7 @@ impl Simulator {
         let n = self.threads.len().max(1) as u64;
         let per_thread = l2_lines / (2 * n);
         for (i, tc) in ckpt.threads.iter().enumerate() {
-            self.threads[i].trace.skip(tc.offset);
+            self.threads[i].trace.seek_to(tc.offset);
             self.arch_base[i] = tc.offset;
             let mut budget = per_thread;
             // Oldest-first order: the most recently touched lines are

@@ -516,6 +516,98 @@ mod checkpoint_boundary {
     }
 }
 
+// Restoring through one set of forward-walked trace cursors
+// (`from_checkpoint_cursors`, what a sampled run does for its N windows)
+// must give exactly the results of independent from-uop-0 restores
+// (`from_checkpoint`), at any thread count and for any non-decreasing
+// offsets — repeated offsets and offset 0 included — with the validators
+// and the from-zero oracle armed on both sides. Call order must not
+// matter (a backwards offset rebuilds the cursor), and cursors for other
+// traces than the checkpoint's are an error, not a panic.
+mod cursor_restore {
+    use super::*;
+    use csmt_core::Checkpoint;
+    use csmt_trace::suite::BASE_CATEGORIES;
+    use csmt_trace::ThreadTrace;
+
+    fn run(sim: Result<Simulator, String>) -> String {
+        let mut sim = sim.expect("verified checkpoint restores");
+        sim.enable_oracle();
+        serde_json::to_string(&sim.run_with_warmup(100, 300, 2_000_000)).unwrap()
+    }
+
+    fn cursors_for(specs: &[TraceSpec]) -> Vec<ThreadTrace> {
+        specs
+            .iter()
+            .map(|s| ThreadTrace::from_profile(&s.profile, s.seed))
+            .collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(8))]
+
+        #[test]
+        fn cursor_restores_match_independent_restores(
+            n in prop::sample::select(vec![1usize, 2, 4]),
+            traces in prop::collection::vec((0usize..9, any::<bool>(), 0u64..1_000), 4),
+            steps in prop::collection::vec(
+                prop::sample::select(vec![0u64, 0, 1, 250, 900, 1_700]), 1..4),
+            iq in prop::sample::select(vec![SchemeKind::Icount, SchemeKind::Cssp, SchemeKind::FlushPlus]),
+        ) {
+            let specs: Vec<TraceSpec> = traces[..n]
+                .iter()
+                .map(|&(cat, mem, seed)| TraceSpec {
+                    profile: category_base(BASE_CATEGORIES[cat])
+                        .variant(if mem { TraceClass::Mem } else { TraceClass::Ilp }),
+                    seed,
+                })
+                .collect();
+            let mut cfg = MachineConfig::iq_study(32);
+            cfg.num_threads = n.max(2);
+            cfg.num_clusters = 2;
+            let rf = RegFileSchemeKind::Shared;
+            // Offset 0 first, then non-decreasing steps (0 repeats one).
+            let mut offsets = vec![0u64];
+            for s in &steps {
+                offsets.push(offsets.last().unwrap() + s);
+            }
+            let ckpts = Checkpoint::capture_many(&specs, &offsets);
+
+            let mut cursors = cursors_for(&specs);
+            for (ck, off) in ckpts.iter().zip(&offsets) {
+                let shared = Simulator::from_checkpoint_cursors(
+                    cfg.clone(), iq, rf, ck, &mut cursors);
+                let fresh = Simulator::from_checkpoint(cfg.clone(), iq, rf, ck);
+                prop_assert_eq!(run(shared), run(fresh), "offset {}", off);
+                prop_assert!(cursors.iter().all(|c| c.emitted() == *off));
+            }
+
+            // Backwards: the cursors sit at the last offset; restoring the
+            // first checkpoint rebuilds them from uop 0.
+            let shared = Simulator::from_checkpoint_cursors(
+                cfg.clone(), iq, rf, &ckpts[0], &mut cursors);
+            let fresh = Simulator::from_checkpoint(cfg.clone(), iq, rf, &ckpts[0]);
+            prop_assert_eq!(run(shared), run(fresh), "backwards to offset 0");
+
+            // Cursors for other traces than the checkpoint's: a different
+            // seed on one thread, or a different thread count.
+            let mut reseeded = specs.clone();
+            reseeded[n - 1].seed += 1;
+            let other = Checkpoint::capture(&reseeded, *offsets.last().unwrap());
+            prop_assert!(Simulator::from_checkpoint_cursors(
+                cfg.clone(), iq, rf, &other, &mut cursors).is_err());
+            let mut short = cursors_for(&specs[..n - 1]);
+            prop_assert!(Simulator::from_checkpoint_cursors(
+                cfg.clone(), iq, rf, &ckpts[0], &mut short).is_err());
+            // A corrupt checkpoint is refused too.
+            let mut bad = ckpts[0].clone();
+            bad.threads[0].offset += 1;
+            prop_assert!(Simulator::from_checkpoint_cursors(
+                cfg, iq, rf, &bad, &mut cursors).is_err());
+        }
+    }
+}
+
 // Counter-adaptive schemes (CAIQ/CARF): epoch re-apportioning must
 // conserve total capacity and respect the validated floors at every
 // supported shape, for any sequence of feedback windows.

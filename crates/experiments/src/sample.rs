@@ -14,7 +14,11 @@
 //! 2. restores each checkpoint into a detailed simulator and runs a
 //!    W-commit warm-up (reconstructing microarchitectural state the
 //!    checkpoint deliberately does not carry) followed by a D-commit
-//!    measured window;
+//!    measured window. One generator cursor per thread walks forward
+//!    from offset to offset and each window starts from a clone of it
+//!    ([`Simulator::from_checkpoint_cursors`]), so the run generates
+//!    each trace's prefix once rather than once per window; `--batch`
+//!    seeks its shared streams instead;
 //! 3. pools the N windows into one [`SimResult`] (u64 counters summed,
 //!    terminal ratios averaged) — the value that is memoized and
 //!    persisted exactly like a full run's — and keeps the per-interval
@@ -33,6 +37,7 @@ use csmt_core::{Checkpoint, SimResult, SimStats, Simulator};
 use csmt_store::ArtifactStore;
 use csmt_trace::stream::SharedStream;
 use csmt_trace::suite::TraceSpec;
+use csmt_trace::ThreadTrace;
 use csmt_types::{MachineConfig, RegFileSchemeKind, SampleSpec, SchemeKind, ThreadId};
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
@@ -208,9 +213,17 @@ fn checkpoints_for(
                 let payload = store.get_record(CHECKPOINT_KIND, &checkpoint_key(specs, off))?;
                 let ck: Checkpoint = serde_json::from_str(&payload).ok()?;
                 // A record that round-trips but fails its own checksum is
-                // stale or tampered: recompute rather than resume it.
+                // stale or tampered: recompute rather than resume it. So
+                // is a self-consistent record for another (specs, offset)
+                // than the key it was filed under.
                 ck.verify().ok()?;
-                Some(ck)
+                let filed_right = ck.threads.len() == specs.len()
+                    && ck
+                        .threads
+                        .iter()
+                        .zip(specs)
+                        .all(|(t, s)| t.offset == off && &t.spec == s);
+                filed_right.then_some(ck)
             })
             .collect();
         if cached.len() == offsets.len() {
@@ -249,6 +262,17 @@ pub fn sampled_run(
         .map(|i| spec.offset(i, horizon))
         .collect();
     let ckpts = checkpoints_for(specs, &offsets, artifacts);
+    // Without shared streams, one generator cursor per thread walks
+    // forward from checkpoint to checkpoint (the offsets are
+    // non-decreasing) and every window restores from a clone, so the run
+    // generates each trace's prefix once.
+    let mut cursors: Vec<ThreadTrace> = match shared {
+        Some(_) => Vec::new(),
+        None => specs
+            .iter()
+            .map(|s| ThreadTrace::from_profile(&s.profile, s.seed))
+            .collect(),
+    };
     let runs: Vec<SimResult> = ckpts
         .iter()
         .map(|ck| {
@@ -256,7 +280,7 @@ pub fn sampled_run(
                 Some(streams) => {
                     Simulator::from_checkpoint_batched(cfg.clone(), iq, rf, ck, streams)
                 }
-                None => Simulator::from_checkpoint(cfg.clone(), iq, rf, ck),
+                None => Simulator::from_checkpoint_cursors(cfg.clone(), iq, rf, ck, &mut cursors),
             }
             .expect("freshly captured/verified checkpoint restores");
             if validate {
@@ -379,6 +403,50 @@ mod tests {
         assert_eq!(cold, warm, "cached checkpoints must be identical");
         assert_eq!(store.counters().puts, 3, "warm pass writes nothing");
         assert_eq!(store.counters().hits, 3);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn misfiled_checkpoint_is_a_miss() {
+        let dir = std::env::temp_dir().join(format!("csmt-sample-misfiled-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let store = ArtifactStore::open(&dir).unwrap();
+        let cfg = csmt_types::MachineConfig::iq_study(32);
+        let run = |arts: Option<&ArtifactStore>| {
+            let (pooled, stats) = sampled_run(
+                &cfg,
+                SchemeKind::Cssp,
+                RegFileSchemeKind::Shared,
+                &specs(),
+                sspec(3),
+                6_000,
+                2_000_000,
+                true,
+                None,
+                arts,
+            );
+            serde_json::to_string(&(pooled, stats)).unwrap()
+        };
+        let clean = run(None);
+        // Fill the store, then replace one record with a verifiable
+        // checkpoint filed under the wrong key: offset 4 000 under the
+        // key of offset 2 000, then other specs under the key of offset 0.
+        assert_eq!(run(Some(&store)), clean);
+        let other = suite::suite()[1].traces.to_vec();
+        for (off, planted) in [
+            (2_000, Checkpoint::capture(&specs(), 4_000)),
+            (0, Checkpoint::capture(&other, 0)),
+        ] {
+            planted.verify().unwrap();
+            let key = checkpoint_key(&specs(), off);
+            let payload = serde_json::to_string(&planted).unwrap();
+            store.put_record(CHECKPOINT_KIND, &key, &payload).unwrap();
+            assert_eq!(run(Some(&store)), clean, "misfiled record at {off} resumed");
+            // The miss re-captured and rewrote the record.
+            let back: Checkpoint =
+                serde_json::from_str(&store.get_record(CHECKPOINT_KIND, &key).unwrap()).unwrap();
+            assert_eq!(back, Checkpoint::capture(&specs(), off));
+        }
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -5,9 +5,11 @@
 
 use crate::profile::TraceProfile;
 use crate::program::{MemPattern, Program, UopTemplate};
+use crate::suite::TraceSpec;
 use csmt_types::uop::RegOperand;
 use csmt_types::{LogReg, MicroOp, OpClass, Prng, RegClass};
 use std::collections::VecDeque;
+use std::sync::Arc;
 
 /// How many recent producers the dependency model remembers per class.
 const RECENT_WINDOW: usize = 32;
@@ -22,8 +24,14 @@ const LOOP_TRIP_THRESHOLD: u32 = 1;
 /// The stream is infinite — the simulator decides how many uops to commit.
 /// Determinism: two `ThreadTrace`s built from the same `(program, seed)`
 /// yield identical streams.
+///
+/// A clone is a second cursor at the same stream position: the immutable
+/// program (and its block index) is shared behind an [`Arc`], so cloning
+/// copies only the mutable walk state.
+#[derive(Clone)]
 pub struct ThreadTrace {
-    program: Program,
+    program: Arc<Program>,
+    seed: u64,
     rng_ctl: Prng,
     rng_dep: Prng,
     rng_mem: Prng,
@@ -43,7 +51,7 @@ pub struct ThreadTrace {
     /// cold access is a fresh L2 miss and miss rates become absurd.
     cold_state: Vec<(u64, u8)>,
     /// Flattened index of the first template of each block.
-    block_base: Vec<u32>,
+    block_base: Arc<[u32]>,
     /// Recently produced registers per class, most recent first.
     recent: [VecDeque<LogReg>; 2],
     emitted: u64,
@@ -57,7 +65,8 @@ impl ThreadTrace {
     }
 
     /// Build a generator walking an existing program.
-    pub fn new(program: Program, seed: u64) -> Self {
+    pub fn new(program: impl Into<Arc<Program>>, seed: u64) -> Self {
+        let program = program.into();
         let mut block_base = Vec::with_capacity(program.blocks.len());
         let mut acc = 0u32;
         for b in &program.blocks {
@@ -69,8 +78,9 @@ impl ThreadTrace {
         let mut s = ThreadTrace {
             stream_pos: [0; crate::program::NUM_STREAM_REGIONS],
             cold_state: vec![(0, 0); acc as usize],
-            block_base,
+            block_base: block_base.into(),
             program,
+            seed,
             rng_ctl,
             rng_dep: Prng::derive(seed, 0xDE65),
             rng_mem: Prng::derive(seed, 0x3E33),
@@ -90,13 +100,33 @@ impl ThreadTrace {
     }
 
     /// The static program this generator walks.
-    pub fn program(&self) -> &Program {
+    pub fn program(&self) -> &Arc<Program> {
         &self.program
+    }
+
+    /// Whether this cursor generates `spec`'s stream (for a program
+    /// synthesized from its own seed, as [`ThreadTrace::from_profile`]
+    /// builds it).
+    pub fn matches(&self, spec: &TraceSpec) -> bool {
+        self.seed == spec.seed && self.program.profile == spec.profile
     }
 
     /// Total correct-path uops emitted so far.
     pub fn emitted(&self) -> u64 {
         self.emitted
+    }
+
+    /// Move to absolute stream position `pos`: the next
+    /// [`ThreadTrace::next_uop`] returns the `pos`-th uop of the stream.
+    /// Forward seeks generate the gap; a backward seek restarts from
+    /// position 0 over the same program (no re-synthesis).
+    pub fn seek_to(&mut self, pos: u64) {
+        if pos < self.emitted {
+            *self = Self::new(self.program.clone(), self.seed);
+        }
+        while self.emitted < pos {
+            self.next_uop();
+        }
     }
 
     fn enter_block(&mut self, id: usize) {
@@ -554,6 +584,54 @@ mod tests {
             assert!(ua.pc >= WRONG_PATH_PC_BASE);
             assert_eq!(ua.code_block, u32::MAX);
         }
+    }
+
+    #[test]
+    fn clone_continues_the_stream_and_shares_the_program() {
+        use crate::suite::BASE_CATEGORIES;
+        for cat in BASE_CATEGORIES {
+            for class in [TraceClass::Ilp, TraceClass::Mem] {
+                let p = category_base(cat).variant(class);
+                let mut orig = ThreadTrace::from_profile(&p, 11);
+                // Clone mid-walk, so loop trips, stream cursors, cold
+                // bursts and recent producers are all in flight.
+                for _ in 0..1_234 {
+                    orig.next_uop();
+                }
+                let mut copy = orig.clone();
+                assert!(Arc::ptr_eq(orig.program(), copy.program()), "{cat}/{class}");
+                assert_eq!(copy.emitted(), orig.emitted());
+                for i in 0..10_000 {
+                    assert_eq!(copy.next_uop(), orig.next_uop(), "{cat}/{class} uop {i}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn seek_to_is_absolute_in_both_directions() {
+        let p = category_base("server").variant(TraceClass::Mem);
+        let reference = sample("server", TraceClass::Mem, 6, 3_000);
+        let mut t = ThreadTrace::from_profile(&p, 6);
+        for pos in [0u64, 700, 700, 2_500, 300, 0, 1_999] {
+            t.seek_to(pos);
+            assert_eq!(t.emitted(), pos);
+            assert_eq!(t.next_uop(), reference[pos as usize], "seek to {pos}");
+        }
+    }
+
+    #[test]
+    fn matches_names_profile_and_seed() {
+        use crate::suite::TraceSpec;
+        let profile = category_base("DH");
+        let t = ThreadTrace::from_profile(&profile, 4);
+        let spec = |profile: &TraceProfile, seed| TraceSpec {
+            profile: profile.clone(),
+            seed,
+        };
+        assert!(t.matches(&spec(&profile, 4)));
+        assert!(!t.matches(&spec(&profile, 5)));
+        assert!(!t.matches(&spec(&category_base("office"), 4)));
     }
 
     #[test]

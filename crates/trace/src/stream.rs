@@ -34,9 +34,9 @@ const CHUNK: usize = 4096;
 /// One thread trace decoded once and shared, read-only, by every
 /// simulator in a batch.
 pub struct SharedStream {
-    /// Immutable copy of the synthesized program (cache warm-up and
-    /// architected-state setup read it; the generator owns its own).
-    program: Program,
+    /// The synthesized program (cache warm-up and architected-state
+    /// setup read it), shared with the generator.
+    program: Arc<Program>,
     seed: u64,
     /// The generator producing the not-yet-published tail.
     tail: Mutex<ThreadTrace>,
@@ -56,10 +56,10 @@ impl SharedStream {
     /// Decode `(profile, seed)` once. This is the expensive front-end
     /// work a batch amortizes: program synthesis plus stream generation.
     pub fn new(profile: &TraceProfile, seed: u64) -> Self {
-        let program = Program::synthesize(profile, seed);
+        let tail = ThreadTrace::new(Program::synthesize(profile, seed), seed);
         SharedStream {
-            tail: Mutex::new(ThreadTrace::new(program.clone(), seed)),
-            program,
+            program: tail.program().clone(),
+            tail: Mutex::new(tail),
             seed,
             chunks: RwLock::new(Vec::new()),
         }

@@ -13,10 +13,16 @@
 //!   from silently drifting: a simulator change that alters the figures
 //!   at any scale alters these bytes.
 //!
+//! `sampled_stats.json` pins the SMARTS-style sampled path (checkpointed
+//! fast-forward plus detailed windows): the pooled [`SimResult`] and the
+//! `SampleStats` sidecar of three sampled runs, restored with the
+//! validators and the from-zero oracle armed.
+//!
 //! Regenerate intentionally with `CSMT_BLESS=1 cargo test --test
 //! golden_snapshots` and review the diff like any other code change.
 
 use clustered_smt::experiments::figures::fig2::{SLICE_COMBOS, SLICE_WORKLOADS};
+use clustered_smt::experiments::SampleStats;
 use clustered_smt::prelude::*;
 use serde::{Deserialize, Serialize};
 
@@ -380,4 +386,89 @@ fn fig2_fig3_headline_rows_match_golden_fixture() {
         .collect();
     let actual = serde_json::to_string_pretty(&rows).unwrap() + "\n";
     assert_matches_fixture("fig_headline.json", &actual);
+}
+
+#[derive(Serialize)]
+struct SampledRow {
+    workload: String,
+    iq: String,
+    rf: String,
+    config: String,
+    pooled: SimResult,
+    sidecar: SampleStats,
+}
+
+#[test]
+fn sampled_stats_match_golden_fixture() {
+    use clustered_smt::experiments::sample::sampled_run;
+    use clustered_smt::types::SampleSpec;
+    // Four windows over an 8 000-commit horizon: offsets 0, 2 000,
+    // 4 000 and 6 000, so the cold start is one of the windows.
+    let spec = SampleSpec {
+        intervals: 4,
+        warmup: 150,
+        detail: 400,
+    };
+    let horizon = 8_000;
+    let pair = workload("mixes/mix.2.1");
+    let bundles = csmt_trace::bundles(4);
+    let bundle = bundles
+        .iter()
+        .find(|b| b.name == "ISPEC00/mix.4")
+        .expect("ISPEC00/mix.4 in bundles(4)");
+    let mut shaped = MachineConfig::iq_study(32);
+    shaped.num_threads = 4;
+    shaped.num_clusters = 2;
+    let runs = [
+        (
+            "mixes/mix.2.1",
+            &pair.traces[..],
+            SchemeKind::Icount,
+            MachineConfig::iq_study(32),
+            "iq32",
+        ),
+        (
+            "mixes/mix.2.1",
+            &pair.traces[..],
+            SchemeKind::Cssp,
+            MachineConfig::iq_study(32),
+            "iq32",
+        ),
+        (
+            "ISPEC00/mix.4",
+            &bundle.traces[..],
+            SchemeKind::Cssp,
+            shaped,
+            "iq32@4x2",
+        ),
+    ];
+    let rows: Vec<SampledRow> = runs
+        .into_iter()
+        .map(|(name, traces, iq, cfg, label)| {
+            // `validate = true` arms the invariant suite and the
+            // differential oracle (replayed from zero) in every window.
+            let (pooled, sidecar) = sampled_run(
+                &cfg,
+                iq,
+                RegFileSchemeKind::Shared,
+                traces,
+                spec,
+                horizon,
+                10_000_000,
+                true,
+                None,
+                None,
+            );
+            SampledRow {
+                workload: name.to_string(),
+                iq: iq.to_string(),
+                rf: format!("{:?}", RegFileSchemeKind::Shared),
+                config: label.to_string(),
+                pooled,
+                sidecar,
+            }
+        })
+        .collect();
+    let actual = serde_json::to_string_pretty(&rows).unwrap() + "\n";
+    assert_matches_fixture("sampled_stats.json", &actual);
 }
