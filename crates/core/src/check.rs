@@ -21,6 +21,9 @@
 //!   dependences: a copy issues in the producer cluster and writes a
 //!   register in a *different* cluster; a non-copy uop's destination
 //!   lives in its own cluster.
+//! * **Operands ready at issue** — a uop issues only once every source it
+//!   waits on (a store waits on its address only) is ready in its
+//!   cluster's scoreboard.
 //! * **ROB FIFO** — per-thread retirement is in strictly increasing
 //!   program order and never retires a wrong-path uop.
 //! * **CDPRF mirror** — an independent replica of the CDPRF budget
@@ -107,6 +110,7 @@ impl CheckSuite {
                 Box::new(Conservation),
                 Box::new(SchemeCaps),
                 Box::new(CopyLocality),
+                Box::new(OperandsReady),
                 Box::new(RobFifo::default()),
                 Box::new(CdprfMirror::default()),
             ],
@@ -424,6 +428,41 @@ impl Validator for CopyLocality {
                     format!(
                         "non-copy uop {id} in cluster {} writes cluster {}",
                         cluster.0, d.cluster.0
+                    ),
+                );
+            }
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Operands ready at issue: the select loop's wakeup hints never let a uop
+// issue ahead of its sources.
+// ---------------------------------------------------------------------------
+
+struct OperandsReady;
+
+impl Validator for OperandsReady {
+    fn name(&self) -> &'static str {
+        "operands-ready"
+    }
+
+    fn on_issue(&mut self, sim: &Simulator, id: u32, out: &mut Vec<Violation>) {
+        let p = sim.slab.payload(id);
+        let cluster = sim.slab.cluster(id);
+        // Stores issue on their address operand alone.
+        let gating = if p.uop.class == OpClass::Store { 1 } else { 2 };
+        for s in p.srcs[..gating].iter().flatten() {
+            if !sim.scoreboard.is_ready(cluster, s.class, s.phys, sim.now) {
+                fire(
+                    out,
+                    self.name(),
+                    format!(
+                        "uop {id} ({:?}) issued before its {:?} source p{} in cluster {} is ready",
+                        p.uop.class,
+                        s.class,
+                        s.phys.idx(),
+                        cluster.0
                     ),
                 );
             }

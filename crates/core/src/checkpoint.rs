@@ -26,10 +26,13 @@
 //!
 //! Capture replays the program with the in-order [`ThreadOracle`] — the
 //! same engine that cross-checks detailed commits — so the fast-forward
-//! path and the validation path cannot drift apart.
+//! path and the validation path cannot drift apart. The same replay can
+//! keep the oracle's trace cursor at every offset: a [`RestorePoint`]
+//! (verified checkpoint plus cursors) restores any number of machines
+//! without hashing the record or walking the trace again.
 
 use csmt_trace::suite::TraceSpec;
-use csmt_trace::{ThreadOracle, WarmFootprint};
+use csmt_trace::{ThreadOracle, ThreadTrace, TraceSnapshot, WarmFootprint};
 use serde::{Deserialize, Serialize};
 
 /// Bump when the checkpoint layout changes incompatibly.
@@ -84,43 +87,17 @@ impl Checkpoint {
     /// cheap — N interval checkpoints cost one replay to the last
     /// offset, not N replays.
     pub fn capture_many(specs: &[TraceSpec], offsets: &[u64]) -> Vec<Checkpoint> {
-        assert!(!specs.is_empty(), "checkpoint needs at least one thread");
-        assert!(
-            offsets.windows(2).all(|w| w[0] <= w[1]),
-            "capture_many offsets must be non-decreasing"
-        );
-        // thread -> offset index -> warm-line snapshot.
-        let snapshots: Vec<Vec<Vec<u64>>> = specs
-            .iter()
-            .map(|spec| {
-                let mut oracle = ThreadOracle::from_spec(spec);
-                let mut fp = WarmFootprint::new();
-                offsets
-                    .iter()
-                    .map(|&off| {
-                        oracle.fast_forward(off - oracle.committed(), &mut fp);
-                        fp.recent_lines()
-                    })
-                    .collect()
-            })
-            .collect();
-        offsets
-            .iter()
-            .enumerate()
-            .map(|(i, &off)| {
-                Checkpoint::sealed(
-                    specs
-                        .iter()
-                        .zip(&snapshots)
-                        .map(|(spec, snaps)| ThreadCheckpoint {
-                            spec: spec.clone(),
-                            offset: off,
-                            warm_lines: snaps[i].clone(),
-                        })
-                        .collect(),
-                )
-            })
+        VerifiedCheckpoint::capture_many(specs, offsets)
+            .into_iter()
+            .map(|ck| ck.0)
             .collect()
+    }
+
+    /// This checkpoint as a [`VerifiedCheckpoint`], if [`Checkpoint::verify`]
+    /// passes.
+    pub fn into_verified(self) -> Result<VerifiedCheckpoint, String> {
+        self.verify()?;
+        Ok(VerifiedCheckpoint(self))
     }
 
     fn sealed(threads: Vec<ThreadCheckpoint>) -> Checkpoint {
@@ -169,6 +146,157 @@ impl Checkpoint {
             ));
         }
         Ok(())
+    }
+}
+
+/// The one capture replay behind [`Checkpoint::capture_many`] and
+/// [`RestorePoint::capture`]: walks each thread's oracle forward through
+/// `offsets` (non-decreasing) once, sealing one checkpoint per offset and
+/// handing `at_offset` the oracle's trace cursor there.
+fn replay<T>(
+    specs: &[TraceSpec],
+    offsets: &[u64],
+    mut at_offset: impl FnMut(&ThreadTrace) -> T,
+) -> Vec<(VerifiedCheckpoint, Vec<T>)> {
+    assert!(!specs.is_empty(), "checkpoint needs at least one thread");
+    assert!(
+        offsets.windows(2).all(|w| w[0] <= w[1]),
+        "capture_many offsets must be non-decreasing"
+    );
+    // thread -> offset index -> (warm-line snapshot, cursor value).
+    let mut per_thread: Vec<_> = specs
+        .iter()
+        .map(|spec| {
+            let mut oracle = ThreadOracle::from_spec(spec);
+            let mut fp = WarmFootprint::new();
+            offsets
+                .iter()
+                .map(|&off| {
+                    oracle.fast_forward(off - oracle.committed(), &mut fp);
+                    (fp.recent_lines(), at_offset(oracle.trace()))
+                })
+                .collect::<Vec<_>>()
+                .into_iter()
+        })
+        .collect();
+    offsets
+        .iter()
+        .map(|&offset| {
+            let (threads, cursors) = specs
+                .iter()
+                .zip(&mut per_thread)
+                .map(|(spec, snaps)| {
+                    let (warm_lines, cursor) = snaps.next().expect("one snapshot per offset");
+                    let thread = ThreadCheckpoint {
+                        spec: spec.clone(),
+                        offset,
+                        warm_lines,
+                    };
+                    (thread, cursor)
+                })
+                .unzip();
+            (VerifiedCheckpoint(Checkpoint::sealed(threads)), cursors)
+        })
+        .collect()
+}
+
+/// A [`Checkpoint`] whose integrity check has passed: built only by
+/// [`Checkpoint::into_verified`] or by a capture, so a restore from it
+/// need not serialize and hash the record again.
+#[derive(Debug, Clone, PartialEq)]
+pub struct VerifiedCheckpoint(Checkpoint);
+
+impl VerifiedCheckpoint {
+    /// [`Checkpoint::capture_many`], keeping the proof of integrity a
+    /// capture carries by construction.
+    pub fn capture_many(specs: &[TraceSpec], offsets: &[u64]) -> Vec<VerifiedCheckpoint> {
+        replay(specs, offsets, |_| ())
+            .into_iter()
+            .map(|(ck, _)| ck)
+            .collect()
+    }
+}
+
+impl std::ops::Deref for VerifiedCheckpoint {
+    type Target = Checkpoint;
+
+    fn deref(&self) -> &Checkpoint {
+        &self.0
+    }
+}
+
+/// Everything a detailed restore at one checkpoint needs, built once and
+/// restorable any number of times ([`Simulator::from_restore_point`]):
+/// the verified checkpoint plus each thread's generator cursor at its
+/// offset, kept as compact [`TraceSnapshot`]s.
+///
+/// [`Simulator::from_restore_point`]: crate::Simulator::from_restore_point
+#[derive(Clone)]
+pub struct RestorePoint {
+    checkpoint: VerifiedCheckpoint,
+    cursors: Vec<TraceSnapshot>,
+}
+
+impl RestorePoint {
+    /// Capture the checkpoints at `offsets` (non-decreasing) together
+    /// with their cursors, in the single replay pass of
+    /// [`Checkpoint::capture_many`]: the oracle's cursor at each offset
+    /// is the restore cursor, so nothing walks the trace a second time.
+    pub fn capture(specs: &[TraceSpec], offsets: &[u64]) -> Vec<RestorePoint> {
+        replay(specs, offsets, ThreadTrace::snapshot)
+            .into_iter()
+            .map(|(checkpoint, cursors)| RestorePoint {
+                checkpoint,
+                cursors,
+            })
+            .collect()
+    }
+
+    /// Restore points for checkpoints obtained elsewhere (an artifact
+    /// store): one generator cursor per thread walks forward from
+    /// checkpoint to checkpoint, so checkpoints in non-decreasing offset
+    /// order generate each trace's prefix once. A cursor already past
+    /// the next offset, or one for another trace, starts over from uop 0.
+    pub fn walk(checkpoints: Vec<VerifiedCheckpoint>) -> Vec<RestorePoint> {
+        let mut walkers: Vec<ThreadTrace> = Vec::new();
+        checkpoints
+            .into_iter()
+            .map(|checkpoint| {
+                let same_traces = walkers.len() == checkpoint.threads.len()
+                    && walkers
+                        .iter()
+                        .zip(&checkpoint.threads)
+                        .all(|(w, t)| w.matches(&t.spec));
+                if !same_traces {
+                    walkers = checkpoint
+                        .threads
+                        .iter()
+                        .map(|t| ThreadTrace::from_profile(&t.spec.profile, t.spec.seed))
+                        .collect();
+                }
+                let cursors = walkers
+                    .iter_mut()
+                    .zip(&checkpoint.threads)
+                    .map(|(w, t)| {
+                        w.seek_to(t.offset);
+                        w.snapshot()
+                    })
+                    .collect();
+                RestorePoint {
+                    checkpoint,
+                    cursors,
+                }
+            })
+            .collect()
+    }
+
+    pub fn checkpoint(&self) -> &VerifiedCheckpoint {
+        &self.checkpoint
+    }
+
+    /// Each thread's generator cursor, positioned at its offset.
+    pub fn cursors(&self) -> &[TraceSnapshot] {
+        &self.cursors
     }
 }
 

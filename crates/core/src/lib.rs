@@ -48,7 +48,9 @@ pub mod steering;
 pub mod tracelog;
 
 pub use check::{CheckSuite, UopView, Validator, Violation};
-pub use checkpoint::{Checkpoint, ThreadCheckpoint, CHECKPOINT_SCHEMA};
+pub use checkpoint::{
+    Checkpoint, RestorePoint, ThreadCheckpoint, VerifiedCheckpoint, CHECKPOINT_SCHEMA,
+};
 pub use metrics::{fairness, fairness_n, FigureRow, SimResult, SimStats};
 pub use perf::{EpochStats, PerfCounters};
 pub use pipeline::{SimBuilder, Simulator};

@@ -138,15 +138,17 @@ impl Simulator {
                     // cycle after dispatch, so `now >= 1` whenever it
                     // matters); finite bounds past the hint width saturate
                     // one below the parked marker and are re-derived once
-                    // `now` catches up.
+                    // `now` catches up. Readiness is decided on the
+                    // unsaturated bound: once `now` passes the hint width,
+                    // a saturated hint is never in the future.
                     let (hard, bound) = if raw >= META_HINT_CAP {
                         (0, META_HINT_CAP - 1)
                     } else {
                         (META_HINT_HARD, raw.max(1))
                     };
                     *meta_ref = (meta & META_LOW_MASK) | hard | (bound << META_HINT_SHIFT);
-                    if bound > now {
-                        next_scan = next_scan.min(bound);
+                    if raw > now {
+                        next_scan = next_scan.min(raw);
                         return false;
                     }
                 }

@@ -572,9 +572,9 @@ impl TraceSource {
 
     /// Move to absolute stream position `pos` (checkpoint restore): the
     /// next uop delivered is the stream's `pos`-th. A live generator
-    /// replays the gap (a cursor restored from a forward-walked clone is
-    /// already there); a shared-stream reader seeks, generating the
-    /// prefix once per stream.
+    /// replays the gap (a cursor restored from a restore point is already
+    /// there); a shared-stream reader seeks, generating the prefix once
+    /// per stream.
     pub fn seek_to(&mut self, pos: u64) {
         match self {
             TraceSource::Live(t) => t.seek_to(pos),
@@ -774,8 +774,9 @@ impl Simulator {
     /// independent replay at the offset); microarchitectural warm state
     /// is reconstructed by running a warm-up window before measuring.
     ///
-    /// This is [`Simulator::from_checkpoint_cursors`] over fresh cursors,
-    /// so each call replays every trace from uop 0.
+    /// Each call verifies the checkpoint and replays every trace from
+    /// uop 0; [`Simulator::from_restore_point`] restores the same machine
+    /// without either.
     pub fn from_checkpoint(
         cfg: MachineConfig,
         iq_kind: SchemeKind,
@@ -783,69 +784,41 @@ impl Simulator {
         ckpt: &crate::checkpoint::Checkpoint,
     ) -> Result<Self, String> {
         ckpt.verify()?;
-        let mut cursors: Vec<ThreadTrace> = ckpt
+        let cursors = ckpt
             .threads
             .iter()
             .map(|t| ThreadTrace::from_profile(&t.spec.profile, t.spec.seed))
             .collect();
-        Ok(Self::restore_verified(
-            cfg,
-            iq_kind,
-            rf_kind,
-            ckpt,
-            &mut cursors,
-        ))
-    }
-
-    /// [`Simulator::from_checkpoint`] over caller-held generator cursors,
-    /// one per checkpointed thread. Each cursor is moved to its thread's
-    /// offset and the machine is built from clones, so the cursors stay
-    /// at the offset for the next restore: restoring a run's checkpoints
-    /// in offset order generates each trace's prefix once in total, not
-    /// once per checkpoint. A cursor already past its offset restarts
-    /// from uop 0, so any call order restores correctly. A cursor that
-    /// generates a different trace than the checkpoint names is an `Err`.
-    pub fn from_checkpoint_cursors(
-        cfg: MachineConfig,
-        iq_kind: SchemeKind,
-        rf_kind: RegFileSchemeKind,
-        ckpt: &crate::checkpoint::Checkpoint,
-        cursors: &mut [ThreadTrace],
-    ) -> Result<Self, String> {
-        ckpt.verify()?;
-        if cursors.len() != ckpt.threads.len() {
-            return Err(format!(
-                "{} trace cursors for a {}-thread checkpoint",
-                cursors.len(),
-                ckpt.threads.len()
-            ));
-        }
-        if let Some(i) = (0..cursors.len()).find(|&i| !cursors[i].matches(&ckpt.threads[i].spec)) {
-            return Err(format!(
-                "trace cursor {i} does not generate the checkpoint's trace {}",
-                ckpt.threads[i].spec.profile.name
-            ));
-        }
         Ok(Self::restore_verified(cfg, iq_kind, rf_kind, ckpt, cursors))
     }
 
+    /// [`Simulator::from_checkpoint`] from a [`RestorePoint`]: its
+    /// checkpoint is already verified and its cursors already stand at
+    /// the offsets, so the restore only rebuilds each cursor from its
+    /// snapshot. Restoring the same point again is bit-exact.
+    ///
+    /// [`RestorePoint`]: crate::checkpoint::RestorePoint
+    pub fn from_restore_point(
+        cfg: MachineConfig,
+        iq_kind: SchemeKind,
+        rf_kind: RegFileSchemeKind,
+        point: &crate::checkpoint::RestorePoint,
+    ) -> Self {
+        let cursors = point.cursors().iter().map(|c| c.restore()).collect();
+        Self::restore_verified(cfg, iq_kind, rf_kind, point.checkpoint(), cursors)
+    }
+
     /// The one live-generator restore path, for a verified checkpoint and
-    /// cursors that match its specs.
+    /// one cursor per thread that generates its spec's trace (at any
+    /// position: each is moved to its offset).
     fn restore_verified(
         cfg: MachineConfig,
         iq_kind: SchemeKind,
         rf_kind: RegFileSchemeKind,
         ckpt: &crate::checkpoint::Checkpoint,
-        cursors: &mut [ThreadTrace],
+        cursors: Vec<ThreadTrace>,
     ) -> Self {
-        let sources = cursors
-            .iter_mut()
-            .zip(&ckpt.threads)
-            .map(|(c, t)| {
-                c.seek_to(t.offset);
-                TraceSource::Live(c.clone())
-            })
-            .collect();
+        let sources = cursors.into_iter().map(TraceSource::Live).collect();
         let mut sim = Self::build(cfg, iq_kind, rf_kind, &ckpt.specs(), sources);
         sim.resume_from(ckpt);
         sim
@@ -859,14 +832,13 @@ impl Simulator {
         cfg: MachineConfig,
         iq_kind: SchemeKind,
         rf_kind: RegFileSchemeKind,
-        ckpt: &crate::checkpoint::Checkpoint,
+        ckpt: &crate::checkpoint::VerifiedCheckpoint,
         streams: &[Arc<SharedStream>],
-    ) -> Result<Self, String> {
-        ckpt.verify()?;
+    ) -> Self {
         let specs = ckpt.specs();
         let mut sim = Self::new_batched(cfg, iq_kind, rf_kind, &specs, streams);
         sim.resume_from(ckpt);
-        Ok(sim)
+        sim
     }
 
     fn resume_from(&mut self, ckpt: &crate::checkpoint::Checkpoint) {

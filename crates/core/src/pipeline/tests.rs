@@ -685,6 +685,40 @@ mod microtests {
 }
 
 #[test]
+fn operands_stay_ready_at_issue_past_the_hint_width() {
+    // The select loop caches wakeup hints in 19 bits of absolute cycle.
+    // A machine whose clock crosses that width must still issue nothing
+    // ahead of its operands, and must behave exactly like the same
+    // machine started at cycle 0.
+    let run_from = |start: u64| {
+        let mut sim = Simulator::new(
+            MachineConfig::iq_study(32),
+            SchemeKind::Icount,
+            RegFileSchemeKind::Shared,
+            &mem_pair(),
+        );
+        sim.enable_validation();
+        sim.now = start;
+        let r = sim.run(4_000, u64::MAX);
+        sim.check_invariants();
+        (serde_json::to_string(&r).unwrap(), sim.now)
+    };
+    // Even, like 0: fetch and the scheme scans rotate over the threads by
+    // cycle number.
+    let start = (1 << 19) - 2_000;
+    let (shifted, end) = run_from(start);
+    assert!(
+        end > (1 << 19) + 10_000,
+        "run ended at {end}, short of the hint width"
+    );
+    let (from_zero, _) = run_from(0);
+    assert_eq!(
+        shifted, from_zero,
+        "a clock past the hint width changed the run"
+    );
+}
+
+#[test]
 fn event_log_tracks_uop_lifecycles() {
     let mut sim = Simulator::new(
         MachineConfig::baseline(),

@@ -516,35 +516,92 @@ mod checkpoint_boundary {
     }
 }
 
-// Restoring through one set of forward-walked trace cursors
-// (`from_checkpoint_cursors`, what a sampled run does for its N windows)
-// must give exactly the results of independent from-uop-0 restores
-// (`from_checkpoint`), at any thread count and for any non-decreasing
-// offsets — repeated offsets and offset 0 included — with the validators
-// and the from-zero oracle armed on both sides. Call order must not
-// matter (a backwards offset rebuilds the cursor), and cursors for other
-// traces than the checkpoint's are an error, not a panic.
+// Restore points (what a sampled run restores its N windows from: taken
+// in the checkpoint capture replay, or walked forward over stored
+// checkpoints) must give exactly the results of independent from-uop-0
+// restores (`from_checkpoint`), at any thread count and for any
+// non-decreasing offsets — repeated offsets and offset 0 included — with
+// the validators and the from-zero oracle armed on both sides, however
+// often one point is restored. The cursors capture hands out must equal
+// `seek_to` cursors at every offset.
 mod cursor_restore {
     use super::*;
-    use csmt_core::Checkpoint;
+    use csmt_core::{Checkpoint, RestorePoint, VerifiedCheckpoint};
     use csmt_trace::suite::BASE_CATEGORIES;
     use csmt_trace::ThreadTrace;
 
-    fn run(sim: Result<Simulator, String>) -> String {
-        let mut sim = sim.expect("verified checkpoint restores");
+    fn run(mut sim: Simulator) -> String {
         sim.enable_oracle();
         serde_json::to_string(&sim.run_with_warmup(100, 300, 2_000_000)).unwrap()
     }
 
-    fn cursors_for(specs: &[TraceSpec]) -> Vec<ThreadTrace> {
-        specs
+    fn specs_for(traces: &[(usize, bool, u64)]) -> Vec<TraceSpec> {
+        traces
             .iter()
-            .map(|s| ThreadTrace::from_profile(&s.profile, s.seed))
+            .map(|&(cat, mem, seed)| TraceSpec {
+                profile: category_base(BASE_CATEGORIES[cat]).variant(if mem {
+                    TraceClass::Mem
+                } else {
+                    TraceClass::Ilp
+                }),
+                seed,
+            })
+            .collect()
+    }
+
+    /// Offset 0 first, then non-decreasing steps (a 0 step repeats one).
+    fn offsets_for(steps: &[u64]) -> Vec<u64> {
+        let mut offsets = vec![0u64];
+        for s in steps {
+            offsets.push(offsets.last().unwrap() + s);
+        }
+        offsets
+    }
+
+    fn verified(ckpts: &[Checkpoint]) -> Vec<VerifiedCheckpoint> {
+        ckpts
+            .iter()
+            .map(|c| c.clone().into_verified().unwrap())
             .collect()
     }
 
     proptest! {
-        #![proptest_config(ProptestConfig::with_cases(8))]
+        #![proptest_config(ProptestConfig::with_cases(16))]
+
+        #[test]
+        fn capture_cursors_equal_seek_to_cursors(
+            n in 1usize..=4,
+            traces in prop::collection::vec((0usize..9, any::<bool>(), 0u64..1_000), 4),
+            steps in prop::collection::vec(
+                prop::sample::select(vec![0u64, 1, 333, 2_500]), 0..5),
+        ) {
+            let specs = specs_for(&traces[..n]);
+            let offsets = offsets_for(&steps);
+            let points = RestorePoint::capture(&specs, &offsets);
+            let ckpts = Checkpoint::capture_many(&specs, &offsets);
+            prop_assert_eq!(points.len(), offsets.len());
+            for ((p, ck), &off) in points.iter().zip(&ckpts).zip(&offsets) {
+                prop_assert_eq!(&**p.checkpoint(), ck);
+                prop_assert_eq!(p.cursors().len(), n);
+                for (c, spec) in p.cursors().iter().zip(&specs) {
+                    let mut seek = ThreadTrace::from_profile(&spec.profile, spec.seed);
+                    seek.seek_to(off);
+                    prop_assert!(
+                        *c == seek.snapshot(),
+                        "{} cursor at {} differs from seek_to", spec.profile.name, off
+                    );
+                }
+            }
+            // Walking stored checkpoints gives the same cursors, in either
+            // order (a backwards offset restarts the walk from uop 0).
+            let walked = RestorePoint::walk(verified(&ckpts));
+            let backwards = RestorePoint::walk(verified(&ckpts).into_iter().rev().collect());
+            for (i, p) in points.iter().enumerate() {
+                prop_assert!(p.cursors() == walked[i].cursors(), "forward walk at {}", i);
+                let b = &backwards[points.len() - 1 - i];
+                prop_assert!(p.cursors() == b.cursors(), "backward walk at {}", i);
+            }
+        }
 
         #[test]
         fn cursor_restores_match_independent_restores(
@@ -554,56 +611,45 @@ mod cursor_restore {
                 prop::sample::select(vec![0u64, 0, 1, 250, 900, 1_700]), 1..4),
             iq in prop::sample::select(vec![SchemeKind::Icount, SchemeKind::Cssp, SchemeKind::FlushPlus]),
         ) {
-            let specs: Vec<TraceSpec> = traces[..n]
-                .iter()
-                .map(|&(cat, mem, seed)| TraceSpec {
-                    profile: category_base(BASE_CATEGORIES[cat])
-                        .variant(if mem { TraceClass::Mem } else { TraceClass::Ilp }),
-                    seed,
-                })
-                .collect();
+            let specs = specs_for(&traces[..n]);
             let mut cfg = MachineConfig::iq_study(32);
             cfg.num_threads = n.max(2);
             cfg.num_clusters = 2;
             let rf = RegFileSchemeKind::Shared;
-            // Offset 0 first, then non-decreasing steps (0 repeats one).
-            let mut offsets = vec![0u64];
-            for s in &steps {
-                offsets.push(offsets.last().unwrap() + s);
-            }
+            let offsets = offsets_for(&steps);
+            let captured = RestorePoint::capture(&specs, &offsets);
             let ckpts = Checkpoint::capture_many(&specs, &offsets);
-
-            let mut cursors = cursors_for(&specs);
-            for (ck, off) in ckpts.iter().zip(&offsets) {
-                let shared = Simulator::from_checkpoint_cursors(
-                    cfg.clone(), iq, rf, ck, &mut cursors);
-                let fresh = Simulator::from_checkpoint(cfg.clone(), iq, rf, ck);
-                prop_assert_eq!(run(shared), run(fresh), "offset {}", off);
-                prop_assert!(cursors.iter().all(|c| c.emitted() == *off));
+            let walked = RestorePoint::walk(verified(&ckpts));
+            for ((ck, off), (cap, walk)) in ckpts.iter().zip(&offsets).zip(captured.iter().zip(&walked)) {
+                let fresh = run(Simulator::from_checkpoint(cfg.clone(), iq, rf, ck).unwrap());
+                // A memoized point is restored once per scheme: every
+                // restore of it must be the same machine.
+                for point in [cap, cap, walk] {
+                    let restored = run(Simulator::from_restore_point(cfg.clone(), iq, rf, point));
+                    prop_assert_eq!(&restored, &fresh, "offset {}", off);
+                }
             }
 
-            // Backwards: the cursors sit at the last offset; restoring the
-            // first checkpoint rebuilds them from uop 0.
-            let shared = Simulator::from_checkpoint_cursors(
-                cfg.clone(), iq, rf, &ckpts[0], &mut cursors);
-            let fresh = Simulator::from_checkpoint(cfg.clone(), iq, rf, &ckpts[0]);
-            prop_assert_eq!(run(shared), run(fresh), "backwards to offset 0");
-
-            // Cursors for other traces than the checkpoint's: a different
-            // seed on one thread, or a different thread count.
+            // A walk over checkpoints of other traces restarts its
+            // cursors: a different seed on one thread, or fewer threads.
             let mut reseeded = specs.clone();
             reseeded[n - 1].seed += 1;
-            let other = Checkpoint::capture(&reseeded, *offsets.last().unwrap());
-            prop_assert!(Simulator::from_checkpoint_cursors(
-                cfg.clone(), iq, rf, &other, &mut cursors).is_err());
-            let mut short = cursors_for(&specs[..n - 1]);
-            prop_assert!(Simulator::from_checkpoint_cursors(
-                cfg.clone(), iq, rf, &ckpts[0], &mut short).is_err());
-            // A corrupt checkpoint is refused too.
+            let last = *offsets.last().unwrap();
+            let mut mixed = verified(&ckpts[..1]);
+            mixed.extend(verified(&[Checkpoint::capture(&reseeded, last)]));
+            if n > 1 {
+                mixed.extend(verified(&[Checkpoint::capture(&specs[..n - 1], last)]));
+            }
+            for point in RestorePoint::walk(mixed) {
+                let ck = point.checkpoint();
+                let fresh = run(Simulator::from_checkpoint(cfg.clone(), iq, rf, ck).unwrap());
+                let restored = run(Simulator::from_restore_point(cfg.clone(), iq, rf, &point));
+                prop_assert_eq!(restored, fresh, "walk over {} threads", ck.threads.len());
+            }
+            // A corrupt checkpoint never becomes a verified one.
             let mut bad = ckpts[0].clone();
             bad.threads[0].offset += 1;
-            prop_assert!(Simulator::from_checkpoint_cursors(
-                cfg, iq, rf, &bad, &mut cursors).is_err());
+            prop_assert!(bad.into_verified().is_err());
         }
     }
 }

@@ -261,8 +261,11 @@ pub fn run_case_in(case: &FuzzCase, validate: bool, batch: bool) -> Result<(), S
                 .collect();
             match &ckpt {
                 Some(ck) => {
-                    Simulator::from_checkpoint_batched(case.config.clone(), iq, rf, ck, &shared)
-                        .expect("checkpoint restore (batched)")
+                    let ck = ck
+                        .clone()
+                        .into_verified()
+                        .expect("captured checkpoint verifies");
+                    Simulator::from_checkpoint_batched(case.config.clone(), iq, rf, &ck, &shared)
                 }
                 None => Simulator::new_batched(case.config.clone(), iq, rf, &case.traces, &shared),
             }

@@ -14,11 +14,18 @@
 //! 2. restores each checkpoint into a detailed simulator and runs a
 //!    W-commit warm-up (reconstructing microarchitectural state the
 //!    checkpoint deliberately does not carry) followed by a D-commit
-//!    measured window. One generator cursor per thread walks forward
-//!    from offset to offset and each window starts from a clone of it
-//!    ([`Simulator::from_checkpoint_cursors`]), so the run generates
-//!    each trace's prefix once rather than once per window; `--batch`
-//!    seeks its shared streams instead;
+//!    measured window. Windows restore from [`RestorePoint`]s — the
+//!    verified checkpoint plus each thread's generator cursor at its
+//!    offset ([`Simulator::from_restore_point`]) — taken from the
+//!    capture replay itself, or from one forward cursor walk over
+//!    checkpoints read from the store. Each thread memoizes the restore
+//!    points of the last `(specs, offsets)` it ran, so a run that follows
+//!    another of the same workload on the same thread skips the store
+//!    read, the checksum and the walk. A sweep lists each workload's
+//!    schemes together, but the executor deals jobs round-robin, so the
+//!    share of runs served this way falls with the worker count (sampled
+//!    `fig2`: 93% at `--jobs 1`, 86% at 2, 43% at 8). `--batch` seeks its
+//!    shared streams instead;
 //! 3. pools the N windows into one [`SimResult`] (u64 counters summed,
 //!    terminal ratios averaged) — the value that is memoized and
 //!    persisted exactly like a full run's — and keeps the per-interval
@@ -33,13 +40,14 @@
 //! equivalence suite asserts full-run values land inside the reported
 //! intervals.
 
-use csmt_core::{Checkpoint, SimResult, SimStats, Simulator};
+use csmt_core::{Checkpoint, RestorePoint, SimResult, SimStats, Simulator, VerifiedCheckpoint};
 use csmt_store::ArtifactStore;
 use csmt_trace::stream::SharedStream;
 use csmt_trace::suite::TraceSpec;
-use csmt_trace::ThreadTrace;
 use csmt_types::{MachineConfig, RegFileSchemeKind, SampleSpec, SchemeKind, ThreadId};
 use serde::{Deserialize, Serialize};
+use std::cell::RefCell;
+use std::rc::Rc;
 use std::sync::Arc;
 
 /// Artifact-store kind tag for cached checkpoints.
@@ -197,52 +205,112 @@ fn checkpoint_key(specs: &[TraceSpec], offset: u64) -> String {
     .expect("checkpoint key serializes")
 }
 
-/// The checkpoints for `specs` at `offsets`: all served from the
-/// artifact store when present and verifiable, otherwise captured in one
-/// replay pass and written back (best-effort — a failed write degrades
-/// to a re-capture next time, never to an error).
+/// The checkpoints for `specs` at `offsets` from the artifact store, if
+/// every one is present, verifies, and is filed under its own key.
+fn stored_checkpoints(
+    specs: &[TraceSpec],
+    offsets: &[u64],
+    store: &ArtifactStore,
+) -> Option<Vec<VerifiedCheckpoint>> {
+    offsets
+        .iter()
+        .map(|&off| {
+            let payload = store.get_record(CHECKPOINT_KIND, &checkpoint_key(specs, off))?;
+            let ck: Checkpoint = serde_json::from_str(&payload).ok()?;
+            // A record that round-trips but fails its own checksum is
+            // stale or tampered: recompute rather than resume it. So is a
+            // self-consistent record for another (specs, offset) than the
+            // key it was filed under.
+            let filed_right = ck.threads.len() == specs.len()
+                && ck
+                    .threads
+                    .iter()
+                    .zip(specs)
+                    .all(|(t, s)| t.offset == off && &t.spec == s);
+            filed_right.then_some(ck)?.into_verified().ok()
+        })
+        .collect()
+}
+
+/// Write freshly captured checkpoints back to the store (best-effort — a
+/// failed write degrades to a re-capture next time, never to an error).
+fn store_checkpoints<'a>(
+    specs: &[TraceSpec],
+    offsets: &[u64],
+    checkpoints: impl Iterator<Item = &'a VerifiedCheckpoint>,
+    artifacts: Option<&ArtifactStore>,
+) {
+    if let Some(store) = artifacts {
+        for (ck, &off) in checkpoints.zip(offsets) {
+            let payload = serde_json::to_string(&**ck).expect("checkpoint serializes");
+            let _ = store.put_record(CHECKPOINT_KIND, &checkpoint_key(specs, off), &payload);
+        }
+    }
+}
+
+/// The checkpoints for `specs` at `offsets`: served from the artifact
+/// store when all are there, otherwise captured and written back.
 fn checkpoints_for(
     specs: &[TraceSpec],
     offsets: &[u64],
     artifacts: Option<&ArtifactStore>,
-) -> Vec<Checkpoint> {
-    if let Some(store) = artifacts {
-        let cached: Vec<Checkpoint> = offsets
-            .iter()
-            .filter_map(|&off| {
-                let payload = store.get_record(CHECKPOINT_KIND, &checkpoint_key(specs, off))?;
-                let ck: Checkpoint = serde_json::from_str(&payload).ok()?;
-                // A record that round-trips but fails its own checksum is
-                // stale or tampered: recompute rather than resume it. So
-                // is a self-consistent record for another (specs, offset)
-                // than the key it was filed under.
-                ck.verify().ok()?;
-                let filed_right = ck.threads.len() == specs.len()
-                    && ck
-                        .threads
-                        .iter()
-                        .zip(specs)
-                        .all(|(t, s)| t.offset == off && &t.spec == s);
-                filed_right.then_some(ck)
-            })
-            .collect();
-        if cached.len() == offsets.len() {
-            return cached;
+) -> Vec<VerifiedCheckpoint> {
+    artifacts
+        .and_then(|store| stored_checkpoints(specs, offsets, store))
+        .unwrap_or_else(|| {
+            let captured = VerifiedCheckpoint::capture_many(specs, offsets);
+            store_checkpoints(specs, offsets, captured.iter(), artifacts);
+            captured
+        })
+}
+
+/// The `(specs, offsets)` a memoized set of restore points was built for.
+type RestoreKey = (Vec<TraceSpec>, Vec<u64>);
+
+thread_local! {
+    /// The restore points of the last sampled workload this thread ran.
+    /// One entry serves the runs of a workload that one thread runs back
+    /// to back, and memory stays bounded by the executor's worker count.
+    static RESTORE_POINTS: RefCell<Option<(RestoreKey, Rc<[RestorePoint]>)>> =
+        const { RefCell::new(None) };
+}
+
+/// The restore points for `specs` at `offsets`: this thread's memo entry
+/// when it matches, otherwise the stored checkpoints plus one forward
+/// cursor walk, or failing that one capture pass. A miss drops the old
+/// entry before building the new one.
+fn restore_points(
+    specs: &[TraceSpec],
+    offsets: &[u64],
+    artifacts: Option<&ArtifactStore>,
+) -> Rc<[RestorePoint]> {
+    RESTORE_POINTS.with(|memo| {
+        let mut memo = memo.borrow_mut();
+        if let Some(((s, o), points)) = memo.as_ref() {
+            if s.as_slice() == specs && o.as_slice() == offsets {
+                return points.clone();
+            }
         }
-    }
-    let captured = Checkpoint::capture_many(specs, offsets);
-    if let Some(store) = artifacts {
-        for (ck, &off) in captured.iter().zip(offsets) {
-            let payload = serde_json::to_string(ck).expect("checkpoint serializes");
-            let _ = store.put_record(CHECKPOINT_KIND, &checkpoint_key(specs, off), &payload);
-        }
-    }
-    captured
+        *memo = None;
+        let points: Rc<[RestorePoint]> =
+            match artifacts.and_then(|store| stored_checkpoints(specs, offsets, store)) {
+                Some(stored) => RestorePoint::walk(stored),
+                None => {
+                    let captured = RestorePoint::capture(specs, offsets);
+                    let checkpoints = captured.iter().map(RestorePoint::checkpoint);
+                    store_checkpoints(specs, offsets, checkpoints, artifacts);
+                    captured
+                }
+            }
+            .into();
+        *memo = Some(((specs.to_vec(), offsets.to_vec()), points.clone()));
+        points
+    })
 }
 
 /// One sampled run: N checkpointed fast-forwards, N detailed windows,
 /// pooled result + per-interval sidecar. Deterministic for fixed inputs
-/// — the checkpoints are pure functions of (specs, offsets) and each
+/// — the restore points are pure functions of (specs, offsets) and each
 /// window restore is bit-exact — so sampled runs memoize and dedup
 /// exactly like full runs.
 #[allow(clippy::too_many_arguments)]
@@ -261,34 +329,30 @@ pub fn sampled_run(
     let offsets: Vec<u64> = (0..spec.intervals)
         .map(|i| spec.offset(i, horizon))
         .collect();
-    let ckpts = checkpoints_for(specs, &offsets, artifacts);
-    // Without shared streams, one generator cursor per thread walks
-    // forward from checkpoint to checkpoint (the offsets are
-    // non-decreasing) and every window restores from a clone, so the run
-    // generates each trace's prefix once.
-    let mut cursors: Vec<ThreadTrace> = match shared {
-        Some(_) => Vec::new(),
-        None => specs
+    let window = |mut sim: Simulator| {
+        if validate {
+            sim.enable_oracle();
+        }
+        sim.run_with_warmup(spec.warmup, spec.detail, max_cycles)
+    };
+    let runs: Vec<SimResult> = match shared {
+        Some(streams) => checkpoints_for(specs, &offsets, artifacts)
             .iter()
-            .map(|s| ThreadTrace::from_profile(&s.profile, s.seed))
+            .map(|ck| {
+                window(Simulator::from_checkpoint_batched(
+                    cfg.clone(),
+                    iq,
+                    rf,
+                    ck,
+                    streams,
+                ))
+            })
+            .collect(),
+        None => restore_points(specs, &offsets, artifacts)
+            .iter()
+            .map(|p| window(Simulator::from_restore_point(cfg.clone(), iq, rf, p)))
             .collect(),
     };
-    let runs: Vec<SimResult> = ckpts
-        .iter()
-        .map(|ck| {
-            let mut sim = match shared {
-                Some(streams) => {
-                    Simulator::from_checkpoint_batched(cfg.clone(), iq, rf, ck, streams)
-                }
-                None => Simulator::from_checkpoint_cursors(cfg.clone(), iq, rf, ck, &mut cursors),
-            }
-            .expect("freshly captured/verified checkpoint restores");
-            if validate {
-                sim.enable_oracle();
-            }
-            sim.run_with_warmup(spec.warmup, spec.detail, max_cycles)
-        })
-        .collect();
     let stats = SampleStats { spec, runs };
     (stats.pooled(), stats)
 }
@@ -349,6 +413,48 @@ mod tests {
     fn combine_halves_is_rss_over_n() {
         assert!((combine_halves(&[3.0, 4.0]) - 2.5).abs() < 1e-12);
         assert_eq!(combine_halves(&[]), 0.0);
+    }
+
+    fn on_fresh_thread<T: Send>(f: impl FnOnce() -> T + Send) -> T {
+        std::thread::scope(|s| s.spawn(f).join().unwrap())
+    }
+
+    #[test]
+    fn memo_served_runs_equal_fresh_thread_runs() {
+        let cfg = csmt_types::MachineConfig::iq_study(32);
+        let run = |specs: &[TraceSpec], intervals: u64, iq: SchemeKind| {
+            let (pooled, stats) = sampled_run(
+                &cfg,
+                iq,
+                RegFileSchemeKind::Shared,
+                specs,
+                sspec(intervals),
+                6_000,
+                2_000_000,
+                false,
+                None,
+                None,
+            );
+            serde_json::to_string(&(pooled, stats)).unwrap()
+        };
+        let both = |specs: &[TraceSpec], intervals: u64, iq: SchemeKind| {
+            let fresh = on_fresh_thread(|| run(specs, intervals, iq));
+            assert_eq!(
+                run(specs, intervals, iq),
+                fresh,
+                "{} x{intervals}",
+                iq.name()
+            );
+        };
+        // Fill this thread's memo, then every scheme is served from it.
+        run(&specs(), 3, SchemeKind::Icount);
+        for iq in SchemeKind::all() {
+            both(&specs(), 3, iq);
+        }
+        // Another workload, then other offsets: each must miss, not reuse
+        // the entry.
+        both(&suite::suite()[1].traces, 3, SchemeKind::Cssp);
+        both(&specs(), 2, SchemeKind::Cssp);
     }
 
     #[test]
@@ -412,20 +518,24 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
         let store = ArtifactStore::open(&dir).unwrap();
         let cfg = csmt_types::MachineConfig::iq_study(32);
+        // Each run on a thread of its own, whose restore-point memo is
+        // empty, so every run after the first reads the store.
         let run = |arts: Option<&ArtifactStore>| {
-            let (pooled, stats) = sampled_run(
-                &cfg,
-                SchemeKind::Cssp,
-                RegFileSchemeKind::Shared,
-                &specs(),
-                sspec(3),
-                6_000,
-                2_000_000,
-                true,
-                None,
-                arts,
-            );
-            serde_json::to_string(&(pooled, stats)).unwrap()
+            on_fresh_thread(|| {
+                let (pooled, stats) = sampled_run(
+                    &cfg,
+                    SchemeKind::Cssp,
+                    RegFileSchemeKind::Shared,
+                    &specs(),
+                    sspec(3),
+                    6_000,
+                    2_000_000,
+                    true,
+                    None,
+                    arts,
+                );
+                serde_json::to_string(&(pooled, stats)).unwrap()
+            })
         };
         let clean = run(None);
         // Fill the store, then replace one record with a verifiable

@@ -27,8 +27,10 @@ const LOOP_TRIP_THRESHOLD: u32 = 1;
 ///
 /// A clone is a second cursor at the same stream position: the immutable
 /// program (and its block index) is shared behind an [`Arc`], so cloning
-/// copies only the mutable walk state.
-#[derive(Clone)]
+/// copies only the mutable walk state. To hold many positions at once,
+/// keep [`TraceSnapshot`]s instead: they store the sparse cold-burst state
+/// compactly.
+#[derive(Clone, PartialEq)]
 pub struct ThreadTrace {
     program: Arc<Program>,
     seed: u64,
@@ -114,6 +116,38 @@ impl ThreadTrace {
     /// Total correct-path uops emitted so far.
     pub fn emitted(&self) -> u64 {
         self.emitted
+    }
+
+    /// A compact copy of this cursor; [`TraceSnapshot::restore`] rebuilds
+    /// it. Only the cold-burst entries that differ from the initial
+    /// `(0, 0)` are kept: most templates never touch cold memory.
+    pub fn snapshot(&self) -> TraceSnapshot {
+        let cold = self
+            .cold_state
+            .iter()
+            .enumerate()
+            .filter(|&(_, &s)| s != (0, 0))
+            .map(|(i, &s)| (i as u32, s))
+            .collect();
+        TraceSnapshot {
+            walk: ThreadTrace {
+                program: self.program.clone(),
+                seed: self.seed,
+                rng_ctl: self.rng_ctl.clone(),
+                rng_dep: self.rng_dep.clone(),
+                rng_mem: self.rng_mem.clone(),
+                cur: self.cur,
+                trips_left: self.trips_left,
+                pos: self.pos,
+                stream_pos: self.stream_pos,
+                cold_state: Vec::new(),
+                block_base: self.block_base.clone(),
+                recent: self.recent.clone(),
+                emitted: self.emitted,
+            },
+            cold,
+            templates: self.cold_state.len(),
+        }
     }
 
     /// Move to absolute stream position `pos`: the next
@@ -343,6 +377,36 @@ impl ThreadTrace {
 
     fn pick_src(&mut self, class: RegClass) -> Option<RegOperand> {
         self.pick_src2(class, false)
+    }
+}
+
+/// A [`ThreadTrace`] cursor at rest, with its per-template cold-burst
+/// state stored sparsely (the live cursor keeps it dense, indexed by
+/// template, because the generator touches it per memory uop). Built by
+/// [`ThreadTrace::snapshot`].
+#[derive(Clone, PartialEq)]
+pub struct TraceSnapshot {
+    /// Every walk field except the cold-burst state, which is empty here.
+    walk: ThreadTrace,
+    /// `(template index, state)` for every non-initial cold-burst entry,
+    /// in template order.
+    cold: Box<[(u32, (u64, u8))]>,
+    /// Length of the dense cold-burst state (templates in the program).
+    templates: usize,
+}
+
+impl TraceSnapshot {
+    /// The live cursor this snapshot was taken from: it continues the
+    /// stream exactly where the original stood.
+    pub fn restore(&self) -> ThreadTrace {
+        let mut cold_state = vec![(0, 0); self.templates];
+        for &(i, s) in self.cold.iter() {
+            cold_state[i as usize] = s;
+        }
+        ThreadTrace {
+            cold_state,
+            ..self.walk.clone()
+        }
     }
 }
 
@@ -603,6 +667,32 @@ mod tests {
                 assert_eq!(copy.emitted(), orig.emitted());
                 for i in 0..10_000 {
                     assert_eq!(copy.next_uop(), orig.next_uop(), "{cat}/{class} uop {i}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn snapshot_round_trip_continues_the_stream() {
+        use crate::suite::BASE_CATEGORIES;
+        for cat in BASE_CATEGORIES {
+            for class in [TraceClass::Ilp, TraceClass::Mem] {
+                let p = category_base(cat).variant(class);
+                let mut orig = ThreadTrace::from_profile(&p, 13);
+                // Snapshot mid-walk, with cold bursts in flight.
+                for _ in 0..4_321 {
+                    orig.next_uop();
+                }
+                let snap = orig.snapshot();
+                let mut back = snap.restore();
+                assert!(back == orig, "{cat}/{class}: restored cursor differs");
+                assert!(Arc::ptr_eq(orig.program(), back.program()), "{cat}/{class}");
+                assert!(
+                    snap.cold.len() < snap.templates,
+                    "{cat}/{class}: snapshot kept every cold-burst entry"
+                );
+                for i in 0..10_000 {
+                    assert_eq!(back.next_uop(), orig.next_uop(), "{cat}/{class} uop {i}");
                 }
             }
         }

@@ -75,10 +75,12 @@ impl WarmFootprint {
     pub fn recent_lines(&self) -> Vec<u64> {
         let mut by_tick: Vec<(u64, u64)> = self.lines.iter().map(|(&l, &t)| (t, l)).collect();
         by_tick.sort_unstable();
-        if by_tick.len() > MAX_WARM_LINES {
-            by_tick.drain(..by_tick.len() - MAX_WARM_LINES);
-        }
-        by_tick.into_iter().map(|(_, l)| l).collect()
+        // Collected from a borrowed slice, so the result gets an allocation
+        // of its own length: collecting `by_tick` by value would keep its
+        // buffer for the lifetime of the checkpoint (capacity 16 276 for
+        // 4 096 kept lines on the suite).
+        let oldest_kept = by_tick.len().saturating_sub(MAX_WARM_LINES);
+        by_tick[oldest_kept..].iter().map(|&(_, l)| l).collect()
     }
 }
 
@@ -129,6 +131,13 @@ impl ThreadOracle {
     /// Committed non-copy uops cross-checked so far.
     pub fn committed(&self) -> u64 {
         self.position
+    }
+
+    /// The replay cursor: after [`ThreadOracle::fast_forward`] to an
+    /// offset, it stands exactly where a detailed simulator's generator
+    /// must resume.
+    pub fn trace(&self) -> &ThreadTrace {
+        &self.trace
     }
 
     /// Architecturally fast-forward `n` uops: replay the program in
